@@ -82,15 +82,23 @@ calibrate(Graph &g, ParamStore &store,
               &batches,
           const CalibrationOptions &opts)
 {
-    std::vector<CalibRange> ranges = observeRanges(g, store, batches, opts);
-    int stamped = 0;
+    return stampRanges(g, observeRanges(g, store, batches, opts));
+}
+
+int
+stampRanges(Graph &g, const std::vector<CalibRange> &ranges)
+{
+    if (ranges.size() != static_cast<size_t>(g.numNodes()))
+        throw std::invalid_argument(
+            "stampRanges: " + std::to_string(ranges.size()) +
+            " ranges for a graph of " + std::to_string(g.numNodes()) +
+            " nodes");
     for (int id = 0; id < g.numNodes(); ++id) {
         Node &n = g.node(id);
         n.attrs.set(kCalibMinAttr, static_cast<double>(ranges[id].mn));
         n.attrs.set(kCalibMaxAttr, static_cast<double>(ranges[id].mx));
-        ++stamped;
     }
-    return stamped;
+    return g.numNodes();
 }
 
 } // namespace pe

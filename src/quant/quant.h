@@ -220,4 +220,9 @@ std::vector<CalibRange> observeRanges(
     const std::vector<std::unordered_map<std::string, Tensor>> &batches,
     const CalibrationOptions &opts = {});
 
+/** Stamp @p ranges (indexed by node id, one per node of @p g) as the
+ *  "calib_min"/"calib_max" attrs; calibrate() = observe + stamp.
+ *  Returns the number of nodes stamped. */
+int stampRanges(Graph &g, const std::vector<CalibRange> &ranges);
+
 } // namespace pe

@@ -15,6 +15,8 @@ Coalescer::Coalescer(std::vector<int64_t> bucketBatches,
     std::sort(batches_.begin(), batches_.end());
     batches_.erase(std::unique(batches_.begin(), batches_.end()),
                    batches_.end());
+    if (batches_.empty())
+        batches_.push_back(1);
 }
 
 int

@@ -70,8 +70,9 @@ class Coalescer
 
     /**
      * @param bucketBatches compiled bucket batch sizes; normalized
-     *        (sorted, deduplicated, values < 1 dropped) so the engine
-     *        and standalone tests can pass raw option lists.
+     *        (sorted, deduplicated, values < 1 dropped, empty = {1})
+     *        so the engine and standalone tests can pass raw option
+     *        lists. The engine builds its buckets from batches().
      * @param windowUs deadline window; <= 0 disables coalescing.
      */
     Coalescer(std::vector<int64_t> bucketBatches, int64_t windowUs);

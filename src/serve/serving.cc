@@ -1,6 +1,7 @@
 #include "serve/serving.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,30 +17,18 @@ namespace pe {
 
 namespace {
 
-/** First-dim slice: the padded bucket output cut back to the
- *  request's rows. Outputs whose leading dim is not the bucket batch
- *  (scalars, reductions) are returned whole. */
-Tensor
-sliceRows(Tensor full, int64_t batch, int64_t rows)
-{
-    if (full.shape().empty() || full.shape()[0] != batch ||
-        rows == batch)
-        return full;
-    Shape s = full.shape();
-    s[0] = rows;
-    Tensor out(s);
-    std::memcpy(out.data(), full.data(), sizeof(float) * out.size());
-    return out;
-}
-
-/** Coalesced-group slice: rows [@p off, @p off + @p rows) of a shared
- *  bucket output, one member's result. Only reached for coalescable
- *  models (every output leads with the batch dim — asserted at engine
- *  construction), so no whole-tensor fallback exists here. */
+/** Rows [@p off, @p off + @p rows) of a bucket output: one group
+ *  member's result. The fetched tensor itself comes back when the
+ *  member covers the whole bucket, and for outputs that do not lead
+ *  with the batch dim (scalars, reductions) — such models are never
+ *  coalesced, so they reach here only as groups of one. */
 Tensor
 sliceRowsAt(const Tensor &full, int64_t batch, int64_t off,
             int64_t rows)
 {
+    if (full.shape().empty() || full.shape()[0] != batch ||
+        rows == batch)
+        return full;
     Shape s = full.shape();
     s[0] = rows;
     Tensor out(s);
@@ -50,7 +39,7 @@ sliceRowsAt(const Tensor &full, int64_t batch, int64_t off,
 }
 
 /** Fit a calibration tensor to a bucket's batch: zero-pad the rows up
- *  (exactly what bindInputRows does to real traffic, so calibration
+ *  (exactly the pad runGroup binds for real traffic, so calibration
  *  sees representative pad statistics) or truncate them down. */
 Tensor
 fitRows(const Tensor &t, int64_t batch)
@@ -70,9 +59,49 @@ fitRows(const Tensor &t, int64_t batch)
     return out;
 }
 
-} // namespace
-
-namespace {
+/**
+ * One calibration per domain: observe ranges once on the largest
+ * bucket's graph (@p models is in ascending batch order), with every
+ * calibration feed fitted to that batch, and stamp the SAME ranges on
+ * every bucket's graph by node id. All buckets of a domain then
+ * quantize with equal scales, so a request's int8 rows do not depend
+ * on which bucket its group ran in.
+ */
+void
+calibrateDomain(
+    std::vector<ServedModel> &models, int64_t maxBatch,
+    const std::vector<std::unordered_map<std::string, Tensor>> &batches,
+    ParamStore &store)
+{
+    const Graph &ref = models.back().graph;
+    std::vector<std::unordered_map<std::string, Tensor>> fitted;
+    fitted.reserve(batches.size());
+    for (const auto &feeds : batches) {
+        std::unordered_map<std::string, Tensor> fit;
+        for (const auto &[name, t] : feeds) {
+            // One calibration map serves both generative domains:
+            // feeds naming Inputs this domain's graph lacks (pos/mask
+            // on the prefill side) are dropped, not rejected.
+            for (int id : ref.inputIds())
+                if (ref.node(id).name == name) {
+                    fit.emplace(name, fitRows(t, maxBatch));
+                    break;
+                }
+        }
+        fitted.push_back(std::move(fit));
+    }
+    std::vector<CalibRange> ranges = observeRanges(ref, store, fitted);
+    for (ServedModel &m : models) {
+        bool same = m.graph.numNodes() == ref.numNodes();
+        for (int id = 0; same && id < ref.numNodes(); ++id)
+            same = m.graph.node(id).op == ref.node(id).op;
+        if (!same)
+            throw std::invalid_argument(
+                "ServingEngine: bucket graphs differ in node count or "
+                "op kinds — calibration is shared by node id");
+        stampRanges(m.graph, ranges);
+    }
+}
 
 /** Shared throw helper for the ServeOptions setters: the message
  *  always names the offending field (the builder-setter contract). */
@@ -140,6 +169,32 @@ ServeOptions::withQueueCapacity(size_t n)
     return *this;
 }
 
+double
+latencyPercentileUs(const std::vector<int64_t> &hist, double p)
+{
+    int64_t total = 0;
+    for (int64_t c : hist)
+        total += c;
+    if (total <= 0)
+        return 0;
+    const double rank =
+        std::clamp(p, 0.0, 1.0) * static_cast<double>(total);
+    int64_t below = 0;
+    for (size_t b = 0; b < hist.size(); ++b) {
+        if (hist[b] <= 0)
+            continue;
+        if (static_cast<double>(below + hist[b]) >= rank) {
+            const int e = static_cast<int>(b);
+            const double lo = b == 0 ? 0.0 : std::ldexp(1.0, e);
+            const double hi = std::ldexp(1.0, e + 1);
+            return lo + (rank - static_cast<double>(below)) /
+                            static_cast<double>(hist[b]) * (hi - lo);
+        }
+        below += hist[b];
+    }
+    return 0; // unreachable: the last non-empty bin reaches total
+}
+
 std::string
 ServeStats::summary() const
 {
@@ -154,11 +209,9 @@ ServeStats::summary() const
                   static_cast<long long>(failed), throughputRps);
     out += buf;
     std::snprintf(buf, sizeof(buf),
-                  "latency: p50 %.0fus p99 %.0fus (%lld samples) | "
+                  "latency: p50 %.0fus p99 %.0fus | "
                   "amortized run %.1fus/req\n",
-                  p50LatencyUs, p99LatencyUs,
-                  static_cast<long long>(latencySamples),
-                  amortizedRunUs);
+                  p50LatencyUs, p99LatencyUs, amortizedRunUs);
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "runs: %lld (%lld shared, rate %.2f) | "
@@ -209,7 +262,7 @@ ServeStats::json() const
         "\"coalesced_requests\":%lld,\"coalesce_rate\":%.17g,"
         "\"streams_opened\":%lld,\"prefills\":%lld,"
         "\"decode_steps\":%lld,"
-        "\"amortized_run_us\":%.17g,\"latency_samples\":%lld,"
+        "\"amortized_run_us\":%.17g,"
         "\"p50_latency_us\":%.17g,\"p99_latency_us\":%.17g,"
         "\"throughput_rps\":%.17g,\"elapsed_seconds\":%.17g,"
         "\"buckets\":[",
@@ -226,8 +279,8 @@ ServeStats::json() const
         static_cast<long long>(streamsOpened),
         static_cast<long long>(prefills),
         static_cast<long long>(decodeSteps),
-        amortizedRunUs, static_cast<long long>(latencySamples),
-        p50LatencyUs, p99LatencyUs, throughputRps, elapsedSeconds);
+        amortizedRunUs, p50LatencyUs, p99LatencyUs, throughputRps,
+        elapsedSeconds);
     std::string out = buf;
     for (size_t i = 0; i < buckets.size(); ++i) {
         const BucketStats &b = buckets[i];
@@ -269,47 +322,27 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     // running `workers` sessions at once (see file comment).
     options_.compile.numThreads = 1;
 
-    std::vector<int64_t> batches = options_.buckets;
-    batches.erase(std::remove_if(batches.begin(), batches.end(),
-                                 [](int64_t b) { return b < 1; }),
-                  batches.end());
-    std::sort(batches.begin(), batches.end());
-    batches.erase(std::unique(batches.begin(), batches.end()),
-                  batches.end());
-    if (batches.empty())
-        batches.push_back(1);
-    coalescer_ = Coalescer(batches, options_.coalesceWindowUs);
-
     // One compiled plan per (precision, shape bucket). Every bucket
     // binds the same frozen ParamStore; the factory must name
     // parameters batch-independently (true of NetBuilder and the
     // model zoo). With ServeOptions::planDir set the plans come from
     // disk instead — the factory is never invoked and the snapshot
-    // below proves no compile pipeline stage ran.
+    // below proves no compile pipeline stage ran. Bucket indices are
+    // the coalescers' normalized batch lists, in order.
     const bool from_plans = !options_.planDir.empty();
     PipelineCounters before = pipelineCounters();
-    for (int64_t batch : batches)
-        buckets_.push_back(buildBucket(model, batch, false));
+    coalescer_ = Coalescer(options_.buckets, options_.coalesceWindowUs);
+    buildDomain(model, coalescer_.batches(), false);
     prefillBuckets_ = buckets_.size();
 
     // Generative engines append the decode domain: one single-token
     // plan per stream-count bucket, built by the decode factory.
     generative_ = static_cast<bool>(options_.decodeFactory);
     if (generative_) {
-        std::vector<int64_t> dbatches = options_.decodeBuckets;
-        dbatches.erase(std::remove_if(dbatches.begin(), dbatches.end(),
-                                      [](int64_t b) { return b < 1; }),
-                       dbatches.end());
-        std::sort(dbatches.begin(), dbatches.end());
-        dbatches.erase(std::unique(dbatches.begin(), dbatches.end()),
-                       dbatches.end());
-        if (dbatches.empty())
-            dbatches.push_back(1);
-        decodeCoalescer_ =
-            Coalescer(dbatches, options_.coalesceWindowUs);
-        for (int64_t batch : dbatches)
-            buckets_.push_back(
-                buildBucket(options_.decodeFactory, batch, true));
+        decodeCoalescer_ = Coalescer(options_.decodeBuckets,
+                                     options_.coalesceWindowUs);
+        buildDomain(options_.decodeFactory, decodeCoalescer_.batches(),
+                    true);
         resolveCacheTopology();
     }
     if (from_plans && pipelineCounters() != before)
@@ -347,93 +380,81 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     });
 }
 
-std::unique_ptr<ServingEngine::Bucket>
-ServingEngine::buildBucket(const ModelFactory &model, int64_t batch,
+void
+ServingEngine::buildDomain(const ModelFactory &model,
+                           const std::vector<int64_t> &batches,
                            bool decode)
 {
-    auto b = std::make_unique<Bucket>();
-    b->batch = batch;
-    b->decode = decode;
-    if (!options_.planDir.empty()) {
-        std::string path =
-            options_.planDir + "/" +
-            planFileName(options_.compile.precision, batch, decode);
-        PlanData pd = deserializePlan(readPlanFile(path));
-        if (pd.precision != options_.compile.precision)
-            throw std::invalid_argument(
-                "ServingEngine: plan '" + path +
-                "' precision does not match ServeOptions");
-        if (pd.artifact.numThreads != 1)
-            throw std::invalid_argument(
-                "ServingEngine: plan '" + path +
-                "' was compiled at numThreads != 1; serving "
-                "sessions are serial inside");
-        std::vector<int> input_ids = pd.graph.inputIds();
-        if (input_ids.empty() ||
-            pd.graph.node(input_ids[0]).shape.empty() ||
-            pd.graph.node(input_ids[0]).shape[0] != batch)
-            throw std::invalid_argument(
-                "ServingEngine: plan '" + path +
-                "' batch does not match bucket " +
-                std::to_string(batch));
-        // All bucket plans freeze the same weights, so repeated
-        // sets write identical values.
-        for (auto &[name, t] : pd.params)
-            store_->set(name, std::move(t));
-        b->cg.graph = std::move(pd.graph);
-        b->cg.lossId = pd.lossId;
-        b->cg.order = pd.artifact.order;
-        b->cg.variants = pd.artifact.variants;
-        b->cg.report = std::move(pd.report);
-        b->exec = std::make_unique<Executor>(
-            b->cg.graph, std::move(pd.artifact), *store_);
-    } else {
-        ServedModel m = model(batch);
-        if (m.outputs.empty())
-            throw std::invalid_argument(
-                "ServingEngine: model factory produced no outputs");
-        // Quantized buckets: stamp observed ranges before the
-        // QuantizePass consumes them. Feeds are fitted to this
-        // bucket's batch (zero-pad up / truncate down), matching
-        // the padding real traffic gets.
-        if (options_.compile.precision != Precision::F32 &&
-            !options_.calibration.empty()) {
-            std::vector<std::unordered_map<std::string, Tensor>>
-                fitted;
-            fitted.reserve(options_.calibration.size());
-            for (const auto &feeds : options_.calibration) {
-                std::unordered_map<std::string, Tensor> fit;
-                for (const auto &[name, t] : feeds) {
-                    // One calibration map serves both generative
-                    // domains: feeds naming Inputs this bucket's
-                    // graph lacks (pos/mask on the prefill side)
-                    // are dropped, not rejected.
-                    bool known = false;
-                    for (int id : m.graph.inputIds())
-                        if (m.graph.node(id).name == name) {
-                            known = true;
-                            break;
-                        }
-                    if (known)
-                        fit.emplace(name, fitRows(t, batch));
-                }
-                fitted.push_back(std::move(fit));
-            }
-            calibrate(m.graph, *store_, fitted);
+    const bool from_plans = !options_.planDir.empty();
+    std::vector<ServedModel> models;
+    if (!from_plans) {
+        for (int64_t batch : batches) {
+            models.push_back(model(batch));
+            if (models.back().outputs.empty())
+                throw std::invalid_argument(
+                    "ServingEngine: model factory produced no outputs");
         }
-        b->cg = compileInferenceGraph(m.graph, m.outputs,
-                                      options_.compile, store_);
-        ExecOptions eopt;
-        eopt.variants = b->cg.variants;
-        eopt.numThreads = 1;
-        eopt.forceScalarTier = options_.compile.forceScalarTier;
-        b->exec = std::make_unique<Executor>(
-            b->cg.graph, b->cg.order, *store_, std::move(eopt));
+        // Quantized buckets: stamp observed ranges before the
+        // QuantizePass consumes them.
+        if (options_.compile.precision != Precision::F32 &&
+            !options_.calibration.empty())
+            calibrateDomain(models, batches.back(),
+                            options_.calibration, *store_);
     }
-    finalizeExecReport(b->cg.report, *b->exec);
-    b->cg.report.kernelFallbacks = b->exec->fallbackCount();
-    b->cg.report.fallbackKernels = b->exec->fallbackKernels();
-    return b;
+    for (size_t i = 0; i < batches.size(); ++i) {
+        const int64_t batch = batches[i];
+        auto b = std::make_unique<Bucket>();
+        b->batch = batch;
+        b->decode = decode;
+        if (from_plans) {
+            std::string path =
+                options_.planDir + "/" +
+                planFileName(options_.compile.precision, batch, decode);
+            PlanData pd = deserializePlan(readPlanFile(path));
+            if (pd.precision != options_.compile.precision)
+                throw std::invalid_argument(
+                    "ServingEngine: plan '" + path +
+                    "' precision does not match ServeOptions");
+            if (pd.artifact.numThreads != 1)
+                throw std::invalid_argument(
+                    "ServingEngine: plan '" + path +
+                    "' was compiled at numThreads != 1; serving "
+                    "sessions are serial inside");
+            std::vector<int> input_ids = pd.graph.inputIds();
+            if (input_ids.empty() ||
+                pd.graph.node(input_ids[0]).shape.empty() ||
+                pd.graph.node(input_ids[0]).shape[0] != batch)
+                throw std::invalid_argument(
+                    "ServingEngine: plan '" + path +
+                    "' batch does not match bucket " +
+                    std::to_string(batch));
+            // All bucket plans freeze the same weights, so repeated
+            // sets write identical values.
+            for (auto &[name, t] : pd.params)
+                store_->set(name, std::move(t));
+            b->cg.graph = std::move(pd.graph);
+            b->cg.lossId = pd.lossId;
+            b->cg.order = pd.artifact.order;
+            b->cg.variants = pd.artifact.variants;
+            b->cg.report = std::move(pd.report);
+            b->exec = std::make_unique<Executor>(
+                b->cg.graph, std::move(pd.artifact), *store_);
+        } else {
+            ServedModel &m = models[i];
+            b->cg = compileInferenceGraph(m.graph, m.outputs,
+                                          options_.compile, store_);
+            ExecOptions eopt;
+            eopt.variants = b->cg.variants;
+            eopt.numThreads = 1;
+            eopt.forceScalarTier = options_.compile.forceScalarTier;
+            b->exec = std::make_unique<Executor>(
+                b->cg.graph, b->cg.order, *store_, std::move(eopt));
+        }
+        finalizeExecReport(b->cg.report, *b->exec);
+        b->cg.report.kernelFallbacks = b->exec->fallbackCount();
+        b->cg.report.fallbackKernels = b->exec->fallbackKernels();
+        buckets_.push_back(std::move(b));
+    }
 }
 
 void
@@ -580,18 +601,12 @@ ServingEngine::savePlans(const std::string &dir) const
     }
 }
 
-int
-ServingEngine::bucketIndexFor(int64_t rows) const
-{
-    // buckets_ was built from the same normalized batch list the
-    // coalescer holds, so policy indices ARE bucket indices.
-    return coalescer_.routeSingle(rows);
-}
-
 int64_t
 ServingEngine::bucketFor(int64_t rows) const
 {
-    int i = bucketIndexFor(rows);
+    // buckets_ was built from the coalescer's normalized batch list,
+    // so policy indices ARE bucket indices.
+    int i = coalescer_.routeSingle(rows);
     return i < 0 ? -1 : buckets_[i]->batch;
 }
 
@@ -626,26 +641,16 @@ ServingEngine::makeRequest(
                 ")");
     }
 
-    int bucket = -1;
-    if (decodeDomain) {
-        int i = decodeCoalescer_.routeSingle(rows);
-        if (i >= 0)
-            bucket = static_cast<int>(prefillBuckets_) + i;
-    } else {
-        bucket = bucketIndexFor(rows);
-    }
-    if (bucket < 0)
+    const Coalescer &co = decodeDomain ? decodeCoalescer_ : coalescer_;
+    int i = co.routeSingle(rows);
+    if (i < 0)
         throw std::invalid_argument(
             "ServingEngine: request rows " + std::to_string(rows) +
             " exceed the largest bucket (" +
-            std::to_string(decodeDomain
-                               ? buckets_.back()->batch
-                               : buckets_[prefillBuckets_ - 1]->batch) +
-            ")");
+            std::to_string(co.maxBatch()) + ")");
 
-    Bucket &bk = *buckets_[bucket];
+    Bucket &bk = *buckets_[(decodeDomain ? prefillBuckets_ : 0) + i];
     auto st = std::make_shared<RequestState>();
-    st->bucket = bucket;
     st->rows = rows;
     // On a generative engine every prompt-domain request runs solo:
     // a prefill graph's rows cross-attend (causal attention over the
@@ -688,19 +693,9 @@ ServingEngine::makeRequest(
     return st;
 }
 
-void
-ServingEngine::finishSubmit(const std::shared_ptr<RequestState> &st)
-{
-    int64_t depth = static_cast<int64_t>(queue_.size());
-    int64_t prev = maxQueueDepth_.load(std::memory_order_relaxed);
-    while (depth > prev &&
-           !maxQueueDepth_.compare_exchange_weak(
-               prev, depth, std::memory_order_relaxed)) {
-    }
-}
-
 ServingEngine::RequestId
-ServingEngine::enqueue(const std::shared_ptr<RequestState> &st)
+ServingEngine::enqueue(const std::shared_ptr<RequestState> &st,
+                       bool block)
 {
     {
         std::lock_guard<std::mutex> lock(stateMu_);
@@ -710,42 +705,36 @@ ServingEngine::enqueue(const std::shared_ptr<RequestState> &st)
     // complete the request before this thread runs another line, and
     // completed > submitted must never be observable.
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (!queue_.push(st)) {
+    if (!(block ? queue_.push(st) : queue_.tryPush(st))) {
         submitted_.fetch_sub(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(stateMu_);
-        states_.erase(st->id);
-        throw std::runtime_error("ServingEngine: engine is stopped");
+        {
+            std::lock_guard<std::mutex> lock(stateMu_);
+            states_.erase(st->id);
+        }
+        if (block)
+            throw std::runtime_error("ServingEngine: engine is stopped");
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        return kRejected;
     }
-    finishSubmit(st);
+    int64_t depth = static_cast<int64_t>(queue_.size());
+    int64_t prev = maxQueueDepth_.load(std::memory_order_relaxed);
+    while (depth > prev &&
+           !maxQueueDepth_.compare_exchange_weak(
+               prev, depth, std::memory_order_relaxed)) {
+    }
     return st->id;
 }
 
 ServingEngine::RequestId
 ServingEngine::submit(std::unordered_map<std::string, Tensor> feeds)
 {
-    return enqueue(makeRequest(feeds));
+    return enqueue(makeRequest(feeds), true);
 }
 
 ServingEngine::RequestId
 ServingEngine::trySubmit(std::unordered_map<std::string, Tensor> feeds)
 {
-    std::shared_ptr<RequestState> st = makeRequest(feeds);
-    {
-        std::lock_guard<std::mutex> lock(stateMu_);
-        states_.emplace(st->id, st);
-    }
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (!queue_.tryPush(st)) {
-        submitted_.fetch_sub(1, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(stateMu_);
-            states_.erase(st->id);
-        }
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return kRejected;
-    }
-    finishSubmit(st);
-    return st->id;
+    return enqueue(makeRequest(feeds), false);
 }
 
 // ---- generative stream API -------------------------------------------
@@ -844,7 +833,7 @@ ServingEngine::submitPrefill(
         st->isPrefill = true;
         st->gen = kGenSolo; // prefill owns the whole session cache
         prefills_.fetch_add(1, std::memory_order_relaxed);
-        return enqueue(st);
+        return enqueue(st, true);
     } catch (...) {
         std::lock_guard<std::mutex> lock(streamMu_);
         auto it = streams_.find(stream);
@@ -907,7 +896,7 @@ ServingEngine::submitDecode(
         st->isDecode = true;
         st->gen = gen;
         decodeSteps_.fetch_add(1, std::memory_order_relaxed);
-        return enqueue(st);
+        return enqueue(st, true);
     } catch (...) {
         std::lock_guard<std::mutex> lock(streamMu_);
         auto it = streams_.find(stream);
@@ -938,7 +927,6 @@ ServingEngine::workerLoop(int worker)
 
         std::vector<std::shared_ptr<RequestState>> group;
         int64_t total = leader->rows;
-        int bucketIdx = leader->bucket;
         const int64_t gen = leader->gen;
         const bool decodeDom = leader->isDecode;
         group.push_back(std::move(leader));
@@ -975,15 +963,14 @@ ServingEngine::workerLoop(int worker)
                     break;
                 }
             }
-            // The group routes to the smallest bucket fitting the
-            // PACKED total — group pad waste, not per-request pad
-            // waste (a 3-row + 1-row pair shares one bucket-4 run).
-            if (group.size() > 1)
-                bucketIdx =
-                    (decodeDom ? static_cast<int>(prefillBuckets_)
-                               : 0) +
-                    co.routeGroup(total);
         }
+        // The group routes to the smallest bucket fitting the PACKED
+        // total — group pad waste, not per-request pad waste (a 3-row
+        // + 1-row pair shares one bucket-4 run). A group of one lands
+        // where submit routed it.
+        const int bucketIdx =
+            (decodeDom ? static_cast<int>(prefillBuckets_) : 0) +
+            co.routeGroup(total);
         runGroup(worker, bucketIdx, group, total);
     }
 }
@@ -1029,16 +1016,22 @@ ServingEngine::runGroup(
         if (tracing)
             bindNs = traceNowNs();
 
-        // Generative gather: copy each decode member's authoritative
-        // stream cache into its slot of the session's persistent
-        // cache region. A stream's rows >= gen are zero, so the slot
-        // ends up byte-equal to a fresh serial session at the same
-        // generation — the root of shared-vs-solo bit parity.
-        // (Prefill skips this: it rewrites rows [0, S) itself and
-        // nothing beyond its prompt is ever fetched back.)
-        if (!bk.cacheNodes.empty()) {
+        // Pack each member's rows contiguously into the staging
+        // buffers, then zero the pad tail once — the packed buffer is
+        // byte-identical to the concatenation of the members'
+        // independently zero-padded binds (a group of one is just the
+        // padded bind). Decode members also gather their stream's
+        // authoritative cache into their slot of the session's
+        // persistent cache region; a stream's rows >= gen are zero, so
+        // the slot ends up byte-equal to a fresh serial session at the
+        // same generation — the root of shared-vs-solo bit parity.
+        // (Prefill skips the gather: it rewrites rows [0, S) itself
+        // and nothing beyond its prompt is ever fetched back.)
+        {
             int64_t off = 0;
             for (const auto &st : group) {
+                for (const auto &[id, t] : st->feeds)
+                    bk.exec->bindInputRowsAt(*sess, id, t, off);
                 if (st->isDecode) {
                     std::lock_guard<std::mutex> lk(streamMu_);
                     const Stream &s = streams_.at(st->stream);
@@ -1047,23 +1040,6 @@ ServingEngine::runGroup(
                             *sess, bk.cacheNodes[i].id, off, 0,
                             s.cache[i]);
                 }
-                off += st->rows;
-            }
-        }
-
-        if (group.size() == 1) {
-            // The exact pre-coalescing bind: pad-to-bucket zero-fill.
-            for (const auto &[id, t] : group[0]->feeds)
-                bk.exec->bindInputRows(*sess, id, t);
-        } else {
-            // Pack each member's rows contiguously into the shared
-            // staging buffers, then zero the pad tail once — the
-            // packed buffer is byte-identical to the concatenation
-            // of the members' independently padded binds.
-            int64_t off = 0;
-            for (const auto &st : group) {
-                for (const auto &[id, t] : st->feeds)
-                    bk.exec->bindInputRowsAt(*sess, id, t, off);
                 off += st->rows;
             }
             for (int id : bk.cg.graph.inputIds())
@@ -1075,24 +1051,15 @@ ServingEngine::runGroup(
         runEndNs = traceNowNs();
         runNs = runEndNs - runStartNs;
 
-        const std::vector<int> &outs = bk.cg.graph.outputs();
-        if (group.size() == 1) {
-            RequestState &st = *group[0];
-            st.outputs.reserve(outs.size());
-            for (int oid : outs)
-                st.outputs.push_back(sliceRows(
-                    bk.exec->fetch(*sess, oid), bk.batch, st.rows));
-        } else {
-            // One fetch per output; each member slices its own rows
-            // back out of the shared result.
-            for (int oid : outs) {
-                Tensor full = bk.exec->fetch(*sess, oid);
-                int64_t off = 0;
-                for (const auto &st : group) {
-                    st->outputs.push_back(sliceRowsAt(
-                        full, bk.batch, off, st->rows));
-                    off += st->rows;
-                }
+        // One fetch per output; each member slices its own rows back
+        // out of the shared result.
+        for (int oid : bk.cg.graph.outputs()) {
+            Tensor full = bk.exec->fetch(*sess, oid);
+            int64_t off = 0;
+            for (const auto &st : group) {
+                st->outputs.push_back(
+                    sliceRowsAt(full, bk.batch, off, st->rows));
+                off += st->rows;
             }
         }
         // Generative scatter: pull the freshly written cache rows
@@ -1183,23 +1150,19 @@ ServingEngine::runGroup(
                 std::memory_order_relaxed);
         }
         auto now = std::chrono::steady_clock::now();
-        {
-            std::lock_guard<std::mutex> lock(statsMu_);
-            for (const auto &st : group) {
-                double us = std::chrono::duration<double, std::micro>(
-                                now - st->submitTime)
-                                .count();
-                latenciesUs_.add(us);
-                // log2 histogram bin: [2^b, 2^(b+1)) us, last open.
-                int64_t v = static_cast<int64_t>(us);
-                int bin = 0;
-                while (v > 1 && bin < kLatencyHistBins - 1) {
-                    v >>= 1;
-                    ++bin;
-                }
-                bk.latHist[static_cast<size_t>(bin)].fetch_add(
-                    1, std::memory_order_relaxed);
+        for (const auto &st : group) {
+            // log2 histogram bin (see BucketStats::latencyHistUs); the
+            // bins are atomic, so the completion path takes no lock.
+            int64_t v = std::chrono::duration_cast<
+                            std::chrono::microseconds>(now - st->submitTime)
+                            .count();
+            int bin = 0;
+            while (v > 1 && bin < kLatencyHistBins - 1) {
+                v >>= 1;
+                ++bin;
             }
+            bk.latHist[static_cast<size_t>(bin)].fetch_add(
+                1, std::memory_order_relaxed);
         }
         completed_.fetch_add(static_cast<int64_t>(group.size()),
                              std::memory_order_relaxed);
@@ -1325,25 +1288,12 @@ ServingEngine::stats() const
             runNanos_.load(std::memory_order_relaxed) / 1e3 /
             static_cast<double>(s.completed);
     }
-    // Copy the sample window under the lock, sort after releasing it:
-    // workers take statsMu_ on every completion, and sorting the
-    // reservoir under it would let a stats poll loop stall the very
-    // path the engine keeps lock-free otherwise.
-    std::vector<double> lat;
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        lat = latenciesUs_.snapshot();
-    }
-    s.latencySamples = static_cast<int64_t>(lat.size());
-    if (!lat.empty()) {
-        std::sort(lat.begin(), lat.end());
-        auto pct = [&](double p) {
-            size_t i = static_cast<size_t>(p * (lat.size() - 1));
-            return lat[i];
-        };
-        s.p50LatencyUs = pct(0.50);
-        s.p99LatencyUs = pct(0.99);
-    }
+    std::vector<int64_t> hist(kLatencyHistBins, 0);
+    for (const BucketStats &bs : s.buckets)
+        for (size_t i = 0; i < hist.size(); ++i)
+            hist[i] += bs.latencyHistUs[i];
+    s.p50LatencyUs = latencyPercentileUs(hist, 0.50);
+    s.p99LatencyUs = latencyPercentileUs(hist, 0.99);
     s.elapsedSeconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start_)
                            .count();

@@ -181,12 +181,17 @@ struct ServeOptions {
     std::string planDir;
     /**
      * Calibration batches for quantized buckets (compile.precision !=
-     * F32; ignored when planDir is set). Each feed map is fitted to
-     * every bucket's batch — rows zero-padded up (exactly the pad the
-     * serving path applies to real requests) or truncated down — and
-     * calibrate() stamps the observed ranges on the bucket's graph
-     * before the QuantizePass consumes them. Empty = quantize with
-     * whatever calibration attrs the factory's graph already carries.
+     * F32; ignored when planDir is set). Ranges are observed ONCE per
+     * domain (prompt/plain, decode) on that domain's largest bucket —
+     * each feed map's rows zero-padded up to its batch (exactly the
+     * pad the serving path applies to real requests) or truncated
+     * down — and the same ranges are stamped on every bucket of the
+     * domain by node id before the QuantizePass consumes them. Equal
+     * scales in every bucket are what keep an int8 request's output
+     * independent of the bucket its coalesced group ran in (bucket
+     * graphs must therefore agree node-for-node; std::invalid_argument
+     * otherwise). Empty = quantize with whatever calibration attrs the
+     * factory's graph already carries.
      */
     std::vector<std::unordered_map<std::string, Tensor>> calibration;
     /**
@@ -227,9 +232,10 @@ struct BucketStats {
     /** SIMD tier the bucket's plan bound against ("scalar"/"avx2"/
      *  "neon") — the key for per-tier run-time attribution. */
     std::string tier;
-    /** Fixed log2 latency histogram: bin b counts completions whose
-     *  submit-to-complete latency fell in [2^b, 2^(b+1)) us (last bin
-     *  open-ended). Sum over bins == hits served by this bucket. */
+    /** Fixed log2 latency histogram: bin 0 counts completions whose
+     *  submit-to-complete latency fell in [0, 2) us, bin b >= 1 those
+     *  in [2^b, 2^(b+1)) us (last bin open-ended). Sum over bins ==
+     *  hits served by this bucket. */
     std::vector<int64_t> latencyHistUs;
 };
 
@@ -266,11 +272,10 @@ struct ServeStats {
      *  per-request cost coalescing buys down (excludes queueing, so
      *  it is comparable across traffic shapes). */
     double amortizedRunUs = 0;
-    /** Latency samples currently held by the fixed-capacity
-     *  reservoir percentiles are computed from (bounded by
-     *  kLatencyReservoirCap regardless of traffic volume). */
-    int64_t latencySamples = 0;
-    double p50LatencyUs = 0; ///< submit-to-complete, median
+    /** Submit-to-complete latency percentiles over the engine's
+     *  lifetime, from the per-bucket histograms summed (see
+     *  latencyPercentileUs: factor-2 bins, linear inside a bin). */
+    double p50LatencyUs = 0;
     double p99LatencyUs = 0;
     double throughputRps = 0; ///< completed / elapsed
     double elapsedSeconds = 0;
@@ -289,45 +294,15 @@ struct ServeStats {
 };
 
 /**
- * Fixed-capacity ring of latency samples: a long-lived engine's
- * percentile window stays O(capacity) no matter how many requests it
- * serves (the old unbounded deque grew without limit under sustained
- * traffic). Once full, each new sample overwrites the oldest, so
- * p50/p99 always reflect the most recent `capacity` completions — a
- * sliding window, which is what a serving dashboard wants anyway.
- * Externally synchronized (the engine holds statsMu_).
+ * The @p p quantile (0..1) of a log2 latency histogram laid out like
+ * BucketStats::latencyHistUs: the bin holding the quantile's rank,
+ * with linear interpolation inside it (the open last bin is read as
+ * [2^(n-1), 2^n) us). Resolution is therefore a factor of 2, which
+ * suits percentiles of latencies spanning orders of magnitude. A
+ * window is the bin-wise difference of two stats() snapshots. 0 for an
+ * empty histogram.
  */
-class LatencyRing
-{
-  public:
-    explicit LatencyRing(size_t capacity)
-        : cap_(capacity == 0 ? 1 : capacity)
-    {
-        samples_.reserve(cap_);
-    }
-
-    void
-    add(double v)
-    {
-        if (samples_.size() < cap_) {
-            samples_.push_back(v);
-        } else {
-            samples_[next_] = v;
-        }
-        next_ = (next_ + 1) % cap_;
-    }
-
-    size_t size() const { return samples_.size(); }
-    size_t capacity() const { return cap_; }
-
-    /** The held samples, unordered (callers sort for percentiles). */
-    std::vector<double> snapshot() const { return samples_; }
-
-  private:
-    std::vector<double> samples_;
-    size_t next_ = 0;
-    const size_t cap_;
-};
+double latencyPercentileUs(const std::vector<int64_t> &hist, double p);
 
 class Session;
 
@@ -347,10 +322,8 @@ class ServingEngine
     using StreamId = uint64_t;
     /** Returned by trySubmit when the admission queue is full. */
     static constexpr RequestId kRejected = 0;
-    /** Latency-percentile reservoir capacity: stats memory is bounded
-     *  by this regardless of how many requests the engine serves. */
-    static constexpr size_t kLatencyReservoirCap = 4096;
-    /** log2 latency-histogram bins: [1us, 2us) ... [2^18us, inf). */
+    /** log2 latency-histogram bins: [0us, 2us), [2us, 4us) ...
+     *  [2^19us, inf) — the engine's one latency record. */
     static constexpr int kLatencyHistBins = 20;
 
     ServingEngine(const ModelFactory &model,
@@ -378,10 +351,11 @@ class ServingEngine
      * full. Throws std::invalid_argument for unknown input names,
      * shape mismatches, or more rows than the largest bucket.
      *
-     * @deprecated Prefer Session: engine.session().run(feeds) is the
-     * same submit+wait path behind one handle. submit()/wait() stay
-     * as the thin asynchronous primitives Session delegates to, so
-     * existing callers keep byte-identical behavior.
+     * submit()/trySubmit()/poll()/wait() and the stream calls below
+     * are the engine's asynchronous layer, which Session wraps with
+     * blocking calls: engine.session().run(feeds) is exactly
+     * wait(submit(feeds)). Use them directly to keep several requests
+     * in flight from one thread (e.g. a burst that should coalesce).
      */
     RequestId submit(std::unordered_map<std::string, Tensor> feeds);
 
@@ -411,11 +385,9 @@ class ServingEngine
     /**
      * Open one generation stream: allocates its authoritative K/V
      * cache (streamCacheBytes() of zeroed rows) and returns its id.
-     * Throws std::logic_error on a non-generative engine.
-     *
-     * @deprecated Prefer Session: engine.session().prefill(...) opens
-     * and owns the stream; openStream()/submitPrefill()/submitDecode()
-     * remain as the thin primitives it delegates to.
+     * Throws std::logic_error on a non-generative engine. Part of the
+     * asynchronous layer (see submit()): Session::prefill opens and
+     * owns a stream through this call.
      */
     StreamId openStream();
 
@@ -465,8 +437,7 @@ class ServingEngine
     ServeStats stats() const;
 
     /** stats() rendered as JSON — the poll-safe metrics endpoint
-     *  (atomic counter snapshot; only the latency reservoir and
-     *  histogram reads take a lock). */
+     *  (a lock-free snapshot of atomic counters and histograms). */
     std::string metricsJson() const { return stats().json(); }
 
     /**
@@ -511,7 +482,6 @@ class ServingEngine
   private:
     struct RequestState {
         RequestId id = 0;
-        int bucket = -1; ///< index into buckets_
         int64_t rows = 0;
         /** Coalescing admission tag: kGenNone for plain traffic,
          *  kGenSolo for prefill, the stream's generation for decode
@@ -618,30 +588,28 @@ class ServingEngine
     std::shared_ptr<RequestState> makeRequest(
         std::unordered_map<std::string, Tensor> &feeds,
         bool decodeDomain = false);
-    /** Shared submit tail: register the state, count it, block-push
-     *  it into the admission queue (throws when stopped). */
-    RequestId enqueue(const std::shared_ptr<RequestState> &st);
-    /** Compile (or planDir-load) one bucket of either domain. */
-    std::unique_ptr<Bucket> buildBucket(const ModelFactory &model,
-                                        int64_t batch, bool decode);
+    /** Shared submit tail: register the state, count it, push it
+     *  into the admission queue. Blocking pushes throw when stopped;
+     *  non-blocking ones return kRejected when full (or stopped). */
+    RequestId enqueue(const std::shared_ptr<RequestState> &st,
+                      bool block);
+    /** Compile (or planDir-load) one domain's buckets, @p batches in
+     *  ascending order, appending them to buckets_; quantized domains
+     *  share one calibration (see ServeOptions::calibration). */
+    void buildDomain(const ModelFactory &model,
+                     const std::vector<int64_t> &batches, bool decode);
     /** Discover + cross-validate CacheWrite values and the decode
      *  graphs' pos/mask inputs; fills cacheSpec_/maxSeq_. */
     void resolveCacheTopology();
     void requireGenerative() const;
-    void finishSubmit(const std::shared_ptr<RequestState> &st);
     void workerLoop(int worker);
     /** Pack @p group's rows into one session of bucket @p bucketIdx,
      *  run the plan once, slice each member's rows back out and
-     *  signal completion. Single-member groups take the exact
-     *  pre-coalescing bind path. */
+     *  signal completion. One path for every group size. */
     void runGroup(
         int worker, int bucketIdx,
         std::vector<std::shared_ptr<RequestState>> &group,
         int64_t totalRows);
-    /** Index of the smallest bucket fitting @p rows; -1 if none. The
-     *  ONE routing rule — bucketFor(), makeRequest() and the
-     *  coalescer share it. */
-    int bucketIndexFor(int64_t rows) const;
 
     std::shared_ptr<ParamStore> store_;
     ServeOptions options_;
@@ -656,7 +624,9 @@ class ServingEngine
      *  generative bucket was validated against. */
     std::vector<CacheNodeRef> cacheSpec_;
     int64_t maxSeq_ = 0; ///< shared cache extent (mask row width)
-    /** Grouping policy (bucket batches + deadline window). */
+    /** Grouping policy (bucket batches + deadline window) and the
+     *  one routing rule: its batches() index buckets_ [0,
+     *  prefillBuckets_), decodeCoalescer_'s the decode domain. */
     Coalescer coalescer_;
     /** Decode-domain grouping policy (stream-count batches). */
     Coalescer decodeCoalescer_;
@@ -698,8 +668,6 @@ class ServingEngine
     /** Summed plan execution time (ns) across all bucket runs — the
      *  numerator of ServeStats::amortizedRunUs. */
     std::atomic<int64_t> runNanos_{0};
-    mutable std::mutex statsMu_; ///< latency samples
-    LatencyRing latenciesUs_{kLatencyReservoirCap};
     std::chrono::steady_clock::time_point start_;
 
     /** Shared-run ids: every runGroup takes one, so coalesced members

@@ -21,7 +21,7 @@
  *     group-aware pad-waste reduction for mixed row counts,
  *     deadline-window expiry, coalesceWindowUs=0 reproducing the
  *     per-request path, a 4-worker x 64-request coalescing stress,
- *     and the bounded latency reservoir.
+ *     and the latency-histogram percentiles.
  */
 
 #include <gtest/gtest.h>
@@ -191,7 +191,7 @@ TEST(ExecContext, SessionsAreIndependentAndMatchClassicApi)
     expectBitEqual(ex.fetch(*cb, out), refB, "session B untouched");
 }
 
-TEST(ExecContext, BindInputRowsZeroFillsThePad)
+TEST(ExecContext, PackedBindAndTailZeroReproduceTheZeroPad)
 {
     auto store = std::make_shared<ParamStore>();
     ServedModel m = mlpModel(4, store.get());
@@ -202,21 +202,28 @@ TEST(ExecContext, BindInputRowsZeroFillsThePad)
     Rng r(31);
     Tensor x3 = randomRows(3, r);
 
-    // A padded bind must reproduce an explicit zero-padded bind.
+    // The serving bind (rows at offset 0, then the tail zeroed) must
+    // reproduce an explicit zero-padded bind.
     Tensor ref = prog.run({{"x", padRows(x3, 4)}})[0];
     auto ctx = ex.makeContext();
     int xid = ex.inputId("x");
     // Dirty the staging buffer first: the zero-fill must erase it.
     ex.bindInputById(*ctx, xid, randomRows(4, r));
-    ex.bindInputRows(*ctx, xid, x3);
+    ex.bindInputRowsAt(*ctx, xid, x3, 0);
+    ex.zeroInputRowsFrom(*ctx, xid, 3);
     ex.run(*ctx);
     expectBitEqual(ex.fetch(*ctx, prog.graph().outputs()[0]), ref,
                    "padded bind");
 
     Tensor bad({3, 9});
-    EXPECT_THROW(ex.bindInputRows(*ctx, xid, bad), std::runtime_error);
+    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, bad, 0),
+                 std::runtime_error);
     Tensor tall({5, 8});
-    EXPECT_THROW(ex.bindInputRows(*ctx, xid, tall), std::runtime_error);
+    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, tall, 0),
+                 std::runtime_error);
+    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, x3, 2),
+                 std::runtime_error);
+    EXPECT_THROW(ex.zeroInputRowsFrom(*ctx, xid, 5), std::runtime_error);
 }
 
 // ---- Shape-bucket routing --------------------------------------------
@@ -484,6 +491,44 @@ TEST(Serving, BoundedQueueBoundsDepthUnderConcurrentSubmit)
     EXPECT_LE(s.p50LatencyUs, s.p99LatencyUs);
 }
 
+TEST(Serving, TrySubmitBouncesWhenTheQueueIsFullAndCountsIt)
+{
+    auto store = std::make_shared<ParamStore>();
+    ServeOptions so;
+    so.buckets = {8};
+    so.workers = 1;
+    so.queueCapacity = 1;
+    ServingEngine engine(
+        [&](int64_t b) { return mlpModel(b, store.get()); }, store, so);
+
+    // One queue slot and one busy worker: back-to-back trySubmits
+    // must bounce within a few calls. Bounded, so a never-bouncing
+    // engine fails instead of hanging.
+    Rng r(83);
+    Tensor x = randomRows(8, r);
+    std::vector<ServingEngine::RequestId> accepted;
+    int64_t bounces = 0;
+    for (int i = 0; i < 100000 && bounces == 0; ++i) {
+        ServingEngine::RequestId id = engine.trySubmit({{"x", x}});
+        if (id == ServingEngine::kRejected)
+            ++bounces;
+        else
+            accepted.push_back(id);
+    }
+    ASSERT_EQ(bounces, 1) << "a full queue must bounce trySubmit";
+
+    Tensor want = engine.wait(engine.submit({{"x", x}}))[0];
+    for (auto id : accepted)
+        expectBitEqual(engine.wait(id)[0], want, "accepted request");
+
+    ServeStats s = engine.stats();
+    EXPECT_EQ(s.rejected, bounces);
+    EXPECT_EQ(s.submitted, static_cast<int64_t>(accepted.size()) + 1)
+        << "a bounced request must not count as submitted";
+    EXPECT_EQ(s.completed, s.submitted);
+    EXPECT_LE(s.maxQueueDepth, 1);
+}
+
 // ---- Stress: 4 submitter threads x 32 requests, mixed shapes ---------
 
 TEST(Serving, StressFourThreadsThirtyTwoRequestsEachBitExact)
@@ -716,6 +761,50 @@ TEST(Coalescing, Int8GroupMatchesIndependentPaddedRuns)
         << "int8 groups must share bucket runs too";
 }
 
+TEST(Coalescing, Int8RequestRegroupedIntoALargerBucketMatchesItsSoloRun)
+{
+    // Every bucket of a domain shares one calibration, so an int8
+    // request coalesced into a larger bucket than its own returns the
+    // same bytes as running alone in its own bucket.
+    auto store = std::make_shared<ParamStore>();
+    auto factory = [&](int64_t b) { return mlpModel(b, store.get()); };
+
+    ServeOptions ref;
+    ref.buckets = {1, 2, 4};
+    ref.workers = 1;
+    ref.compile.precision = Precision::Int8;
+    {
+        Rng crng(67);
+        for (int i = 0; i < 2; ++i)
+            ref.calibration.push_back({{"x", randomRows(3, crng)}});
+    }
+    ServingEngine solo(factory, store, ref);
+    ASSERT_EQ(solo.bucketReport(1).precision, Precision::Int8);
+    ASSERT_EQ(solo.bucketReport(4).precision, Precision::Int8);
+
+    ServeOptions co = ref;
+    co.coalesceWindowUs = kTestWindowUs;
+    ServingEngine engine(factory, store, co);
+
+    Rng r(71);
+    Tensor x3 = randomRows(3, r);
+    Tensor x1 = randomRows(1, r);
+    Tensor want3 = solo.wait(solo.submit({{"x", x3}}))[0]; // bucket 4
+    Tensor want1 = solo.wait(solo.submit({{"x", x1}}))[0]; // bucket 1
+
+    auto id3 = engine.submit({{"x", x3}});
+    auto id1 = engine.submit({{"x", x1}});
+    expectBitEqual(engine.wait(id3)[0], want3, "int8 3-row member");
+    expectBitEqual(engine.wait(id1)[0], want1,
+                   "int8 1-row member regrouped into bucket 4");
+
+    ServeStats s = engine.stats();
+    EXPECT_EQ(s.runs, 1) << "3+1 rows must share one bucket-4 run";
+    ASSERT_EQ(s.buckets.size(), 3u);
+    EXPECT_EQ(s.buckets[2].batch, 4);
+    EXPECT_EQ(s.buckets[2].hits, 2);
+}
+
 TEST(Coalescing, MixedRowGroupSharesOneBucketRunAndDropsPadWaste)
 {
     // Satellite: a 3-row request next to a 1-row request must share
@@ -917,26 +1006,52 @@ TEST(Coalescing, StressFourWorkersSixtyFourMixedRequestsBitExact)
     EXPECT_FALSE(s.summary().empty());
 }
 
-// ---- Bounded latency reservoir ---------------------------------------
+// ---- Latency histograms --------------------------------------------
 
-TEST(LatencyRing, HoldsAtMostCapacityMostRecentSamples)
+TEST(LatencyHistogram, PercentilesLandInTheRightBin)
 {
-    LatencyRing ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    for (int i = 0; i < 10; ++i)
-        ring.add(static_cast<double>(i));
-    EXPECT_EQ(ring.size(), 4u) << "ring must not grow past capacity";
-    std::vector<double> got = ring.snapshot();
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, (std::vector<double>{6, 7, 8, 9}))
-        << "overwrites must evict the OLDEST samples";
+    // Bins: [0, 2), [2, 4), [4, 8), ... us. 40 samples in [4, 8), 50
+    // in [64, 128), 10 in [1024, 2048): the median (rank 50) is the
+    // 10th of the 50 in bin 6, p99 (rank 99) the 9th of bin 10's 10.
+    std::vector<int64_t> hist(ServingEngine::kLatencyHistBins, 0);
+    hist[2] = 40;
+    hist[6] = 50;
+    hist[10] = 10;
+    double p50 = latencyPercentileUs(hist, 0.50);
+    double p99 = latencyPercentileUs(hist, 0.99);
+    EXPECT_GE(p50, 64.0);
+    EXPECT_LT(p50, 128.0);
+    EXPECT_DOUBLE_EQ(p50, 64.0 + 64.0 * 10.0 / 50.0)
+        << "linear interpolation inside the bin";
+    EXPECT_GE(p99, 1024.0);
+    EXPECT_LT(p99, 2048.0);
+    EXPECT_LE(p50, p99);
+    EXPECT_LE(latencyPercentileUs(hist, 0.0), p50);
+    EXPECT_GE(latencyPercentileUs(hist, 0.0), 4.0)
+        << "p0 lies in the first non-empty bin";
+
+    // Bin 0 starts at 0 us; the open last bin reads as [2^19, 2^20).
+    std::vector<int64_t> edges(ServingEngine::kLatencyHistBins, 0);
+    edges[0] = 1;
+    EXPECT_GE(latencyPercentileUs(edges, 0.5), 0.0);
+    EXPECT_LT(latencyPercentileUs(edges, 0.5), 2.0);
+    edges[0] = 0;
+    edges.back() = 3;
+    EXPECT_GE(latencyPercentileUs(edges, 0.99), 524288.0);
+    EXPECT_LE(latencyPercentileUs(edges, 0.99), 1048576.0);
+
+    EXPECT_EQ(latencyPercentileUs(
+                  std::vector<int64_t>(ServingEngine::kLatencyHistBins, 0),
+                  0.5),
+              0.0)
+        << "an empty histogram has no percentiles";
 }
 
-TEST(Serving, LatencyReservoirStaysBoundedUnderSustainedTraffic)
+TEST(Serving, LatencyHistogramsCountEveryCompletionUnderSustainedTraffic)
 {
-    // Satellite: the per-request latency window must be O(1) in
-    // memory no matter how many requests the engine serves (the old
-    // deque grew per request under sustained traffic).
+    // The engine's one latency record is the per-bucket fixed-size
+    // histograms: after 10k requests they account for every completion
+    // and give ordered, positive percentiles.
     auto store = std::make_shared<ParamStore>();
     ServeOptions so;
     so.buckets = {4};
@@ -968,14 +1083,17 @@ TEST(Serving, LatencyReservoirStaysBoundedUnderSustainedTraffic)
 
     ServeStats s = engine.stats();
     EXPECT_EQ(s.completed, kTotal);
-    EXPECT_LE(s.latencySamples,
-              static_cast<int64_t>(
-                  ServingEngine::kLatencyReservoirCap))
-        << "latency memory must stay bounded after 10k requests";
-    EXPECT_GT(s.latencySamples, 0);
+    int64_t histTotal = 0;
+    for (const BucketStats &b : s.buckets) {
+        EXPECT_EQ(b.latencyHistUs.size(),
+                  static_cast<size_t>(ServingEngine::kLatencyHistBins));
+        for (int64_t c : b.latencyHistUs)
+            histTotal += c;
+    }
+    EXPECT_EQ(histTotal, s.completed)
+        << "the histograms must count every completion";
     EXPECT_GT(s.p50LatencyUs, 0.0);
-    EXPECT_GE(s.p99LatencyUs, s.p50LatencyUs)
-        << "percentiles must stay stable over the sliding window";
+    EXPECT_GE(s.p99LatencyUs, s.p50LatencyUs);
 }
 
 } // namespace
